@@ -619,9 +619,11 @@ func (c *Cluster) Invocations() int64 {
 // invocations (no new ones are admitted), flushes outstanding
 // asynchronous batches and runs the final barrier — so fire-and-forget
 // work finishes and any deferred asynchronous failure surfaces as the
-// returned error — then broadcasts shutdown and waits for every serve
-// loop. A cancelled context skips the drain and barrier and stops the
-// nodes immediately. Idempotent: later calls return nil.
+// returned error — then shuts every node down and waits for its serve
+// loop. A context done before the in-flight invocations finish skips
+// the drain and barrier; one done before the serve loops finish makes
+// the stop close every endpoint instead of waiting. Either way the
+// context's error is returned. Idempotent: later calls return nil.
 func (c *Cluster) Shutdown(ctx context.Context) error {
 	c.stateMu.Lock()
 	if c.closed {
@@ -651,7 +653,9 @@ func (c *Cluster) Shutdown(ctx context.Context) error {
 		err = c.finalBarrier(c.starter)
 	}
 	c.advanceSimSnapshot(c.starter.VM.SimSeconds())
-	c.stop()
+	if serr := c.stop(ctx); err == nil {
+		err = serr
+	}
 	if err == nil && !drained {
 		err = ctx.Err()
 	}
@@ -672,30 +676,65 @@ func (c *Cluster) Kill() {
 		}
 		return
 	}
-	c.stop()
+	_ = c.stop(context.Background())
 }
 
-// stop broadcasts shutdown (including to the starter itself, stopping
-// its serve loop) and waits for every node to wind down.
-func (c *Cluster) stop() {
+// stop shuts every node down and waits for its serve loop: the
+// members first, then the starter. The starter's serve loop closes its
+// endpoint on its own SHUTDOWN, which ends retransmission of every
+// frame it sent, so a member whose SHUTDOWN was dropped must stop
+// before the starter does or it waits forever. Each stopped member is
+// retired from the starter's reliability state, so its silence never
+// turns into a PEERDOWN verdict while the others wind down. Past ctx's
+// deadline stop closes every endpoint and returns ctx.Err().
+func (c *Cluster) stop(ctx context.Context) error {
+	var err error
 	c.stopOnce.Do(func() {
 		nodes := c.nodesSnapshot()
-		starter := nodes[0]
-		for rank := len(nodes) - 1; rank >= 0; rank-- {
-			if starter.departed(rank) {
-				// Already retired by a drain; its endpoint is closed.
-				continue
-			}
-			_ = starter.EP.Send(transport.Message{To: rank, Kind: KindShutdown})
+		err = stopNodes(ctx, nodes[0], nodes[1:])
+		if err == nil {
+			err = stopNodes(ctx, nodes[0], nodes[:1])
 		}
-		// Flush barrier: on fabrics with buffered writers the shutdown
-		// frames may still sit in a write batch; push them to the
-		// kernel before waiting for the serve loops to wind down.
-		_ = transport.Flush(starter.EP)
-		for _, n := range nodes {
-			n.wg.Wait()
+		if err != nil {
+			for _, n := range nodes {
+				_ = n.EP.Close()
+			}
 		}
 	})
+	return err
+}
+
+// stopNodes sends SHUTDOWN from the starter to every node in ns and
+// waits, until ctx is done, for their serve loops to finish.
+func stopNodes(ctx context.Context, starter *Node, ns []*Node) error {
+	var wg sync.WaitGroup
+	for _, n := range ns {
+		if starter.departed(n.Rank) {
+			// Already retired by a drain; its endpoint is closed.
+			continue
+		}
+		_ = starter.EP.Send(transport.Message{To: n.Rank, Kind: KindShutdown})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			n.wg.Wait()
+			transport.RetirePeer(starter.EP, n.Rank)
+		}()
+	}
+	// Flush barrier: on fabrics with buffered writers the shutdown
+	// frames may still sit in a write batch; push them to the kernel
+	// before waiting for the serve loops to wind down.
+	_ = transport.Flush(starter.EP)
+	// On ctx's end the waiters are left behind; they exit once the
+	// caller has closed the endpoints and the serve loops return.
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // Run executes the classic batch lifecycle: start every node's Message

@@ -26,8 +26,8 @@ import (
 // stamped: acting on a stale view there would move state onto ranks
 // that have left. The invocation fast path (NEW/DEP/BARRIER and
 // responses) is never stamped — staleness on that path is already
-// healed by forwarding — which also keeps those frames byte-identical
-// to a static cluster until the first view transition.
+// healed by forwarding — so until the first view transition no frame
+// on it carries a View.
 func isViewStamped(kind uint8) bool {
 	switch kind {
 	case KindMigrate, KindTransfer, KindRecover, KindPromote, KindRehome,

@@ -332,12 +332,8 @@ func (s viewSpy) Send(m transport.Message) error {
 	return s.Endpoint.Send(m)
 }
 
-// TestElasticOffWireUnchanged is the compatibility pin: with
-// elasticity off — and even with it on but unexercised — no frame
-// carries a view id, so every envelope encodes in the pre-membership
-// format and the wire stream is byte-identical to the previous
-// release (the v4 encoder is only entered for non-zero views, pinned
-// byte-for-byte in the wire package's tests).
+// TestElasticOffWireUnchanged: with elasticity off — and even with it
+// on but unexercised — no frame carries a View.
 func TestElasticOffWireUnchanged(t *testing.T) {
 	for _, tc := range []struct {
 		name string

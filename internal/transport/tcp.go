@@ -419,7 +419,7 @@ func (e *tcpEndpoint) readFrames(br *bufio.Reader) {
 	for {
 		f, sc, err := wire.ReadFrameScratch(br, scratch)
 		scratch = sc
-		if err != nil || !e.deliver(&f) {
+		if err != nil || !e.deliver(f) {
 			return
 		}
 	}
@@ -434,7 +434,7 @@ func (e *tcpEndpoint) readSegments(br *bufio.Reader) {
 		}
 		for len(seg) > 0 {
 			f, rest, err := wire.DecodeFrameBuf(seg)
-			if err != nil || !e.deliver(&f) {
+			if err != nil || !e.deliver(f) {
 				return
 			}
 			seg = rest
@@ -446,12 +446,10 @@ func (e *tcpEndpoint) readSegments(br *bufio.Reader) {
 // out of the decode scratch into a pooled buffer the consumer owns. It
 // never blocks past Close: the done select is what keeps a full inbox
 // from wedging endpoint teardown.
-func (e *tcpEndpoint) deliver(f *wire.Frame) bool {
-	var p []byte
-	if len(f.Payload) > 0 {
-		p = append(wire.GetBuf(), f.Payload...)
+func (e *tcpEndpoint) deliver(msg Message) bool {
+	if len(msg.Payload) > 0 {
+		msg.Payload = append(wire.GetBuf(), msg.Payload...)
 	}
-	msg := Message{From: f.From, To: f.To, Tag: f.Tag, TID: f.TID, Kind: f.Kind, Seq: f.Seq, Ack: f.Ack, Dedup: f.Dedup, View: f.View, Time: f.Time, Payload: p}
 	// Fast path: a non-blocking send skips the two-case select
 	// machinery whenever the inbox has room (the common case with a
 	// live consumer).
@@ -482,15 +480,14 @@ func (e *tcpEndpoint) Send(msg Message) error {
 		return fmt.Errorf("transport: bad destination %d", msg.To)
 	}
 	msg.From = e.rank
-	frame := wire.Frame{From: msg.From, To: msg.To, Tag: msg.Tag, TID: msg.TID, Kind: msg.Kind, Seq: msg.Seq, Ack: msg.Ack, Dedup: msg.Dedup, View: msg.View, Time: msg.Time, Payload: msg.Payload}
 	conn, err := e.connTo(msg.To)
 	if err != nil {
 		return fmt.Errorf("transport: send to node %d (frame kind %d): %w", msg.To, msg.Kind, err)
 	}
 	if e.opts.Coalesce || conn.sw != nil {
-		err = conn.enqueue(&frame, e.opts.maxPending())
+		err = conn.enqueue(&msg, e.opts.maxPending())
 	} else {
-		err = conn.writeDirect(&frame)
+		err = conn.writeDirect(&msg)
 	}
 	if err != nil {
 		e.dropConn(msg.To, conn)

@@ -15,34 +15,14 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+
+	"autodist/internal/wire"
 )
 
-// Message is one tagged frame. Tag correlates requests with responses;
-// TID names the logical thread the frame belongs to (0 is the system
-// thread), so replies, asynchronous batches and deferred errors
-// correlate per thread rather than per node; Time carries the sender's
-// simulated clock for the virtual-time model (paper §7.2's
-// heterogeneous-node experiments).
-type Message struct {
-	From, To int
-	Tag      uint64
-	TID      uint64
-	Kind     uint8
-	// Seq and Ack are the reliability layer's sequence number and
-	// cumulative acknowledgement for the (sender, receiver) direction;
-	// Dedup is the runtime's idempotency id for re-driven requests. All
-	// three are zero on fabrics without the reliability wrapper, and
-	// frames with all three zero keep the version-2 wire layout.
-	Seq   uint64
-	Ack   uint64
-	Dedup uint64
-	// View is the sender's membership view id, stamped on coordination
-	// traffic by elastic clusters. Zero everywhere else; frames with a
-	// zero view keep the version-3 (or smaller) wire layout.
-	View    uint64
-	Time    float64
-	Payload []byte
-}
+// Message is one tagged frame. It is the wire codec's Frame under the
+// fabric's name, so the fields and their wire layout are defined once,
+// in wire.Frame.
+type Message = wire.Frame
 
 // Endpoint is one node's port into the fabric — the MPI service of
 // Figure 10.

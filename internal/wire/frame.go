@@ -7,8 +7,8 @@ import (
 )
 
 // Frame is the transport envelope: one tagged message between nodes.
-// It mirrors transport.Message field-for-field; the transport converts
-// at its boundary so the codec stays dependency-free.
+// transport.Message is an alias of this type, so the frame's Go shape
+// and its wire layout (see AppendFrame) are defined in this one place.
 type Frame struct {
 	From, To int
 	Tag      uint64
@@ -21,10 +21,8 @@ type Frame struct {
 	// Seq and Ack are the reliability layer's per-(peer, direction)
 	// sequence number and cumulative acknowledgement; Dedup is the
 	// runtime's per-(thread, invocation) idempotency id for re-driven
-	// requests. All three are zero outside fault-tolerant runs, and a
-	// frame with all three zero encodes in the version-2 layout — the
-	// wire stream of a non-fault-tolerant cluster is byte-identical to
-	// the pre-v3 protocol.
+	// requests. All three are zero outside fault-tolerant runs, where
+	// no frame carries them on the wire.
 	Seq   uint64
 	Ack   uint64
 	Dedup uint64
@@ -32,30 +30,28 @@ type Frame struct {
 	// the frame: coordination traffic (ADAPT, MIGRATE, RECOVER rounds
 	// and the membership handshake itself) is stamped with it so two
 	// nodes that disagree on the cluster's composition detect the skew
-	// instead of acting on it. Zero means "no membership in play" and
-	// encodes in the version-3 (or smaller) layout — a non-elastic
-	// cluster's wire stream is byte-identical to the pre-v4 protocol.
-	View    uint64
+	// instead of acting on it. Zero means "no membership in play", so a
+	// non-elastic cluster sends no frame carrying a View.
+	View uint64
+	// Time is the sender's simulated clock for the virtual-time model
+	// (paper §7.2's heterogeneous-node experiments); zero, and absent
+	// from the wire, unless the run models CPU speeds.
 	Time    float64
 	Payload []byte
 }
 
-// Frame body versions. Version 1 is the pre-thread-id layout (no TID
-// field; decodes with TID 0); version 2 added the logical-thread id;
-// version 3 appends the reliability fields (Seq, Ack, Dedup) after the
-// thread id; version 4 appends the membership view id after the
-// reliability fields. The decoder selects the layout by the version
-// byte alone — a frame can only carry a thread id, sequence numbers or
-// a view id if its version says so, and an unknown version is a clean
-// error, never a panic or a misparse. The encoder picks the smallest
-// sufficient version: frames with zero Seq/Ack/Dedup emit version 2
-// unchanged, and only frames carrying a nonzero view id pay for the
-// version-4 field.
+// Frame flag bits. Bit i of a frame's flags byte is set exactly when
+// optional field i is nonzero; the remaining bits are reserved and
+// must be zero.
 const (
-	FrameVersion1 = 1
-	FrameVersion  = 2
-	FrameVersion3 = 3
-	FrameVersion4 = 4
+	flagTID = 1 << iota
+	flagSeq
+	flagAck
+	flagDedup
+	flagView
+	flagTime
+
+	flagsReserved = 0xC0 // bits 6 and 7
 )
 
 // Transport-level control kinds. They live at the top of the kind
@@ -103,95 +99,80 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// frameBodyLen is the exact encoded body size of f in the current
-// frame version, so AppendFrame can emit the length prefix first and
-// encode the body in place — no intermediate buffer, no allocation
-// beyond growing b itself.
-func frameBodyLen(f *Frame) int {
-	n := 1 + // version byte
+// header returns the frame's flags byte — one bit per nonzero optional
+// field — and its exact encoded body size, so AppendFrame can emit the
+// length prefix first and encode the body in place.
+func (f *Frame) header() (flags byte, bodyLen int) {
+	bodyLen = 1 + // flags byte
 		uvarintLen(uint64(f.From)) +
 		uvarintLen(uint64(f.To)) +
 		uvarintLen(f.Tag) +
-		uvarintLen(f.TID) +
 		1 + // kind byte
-		8 + // time
 		uvarintLen(uint64(len(f.Payload))) +
 		len(f.Payload)
-	if f.Seq != 0 || f.Ack != 0 || f.Dedup != 0 || f.View != 0 {
-		n += uvarintLen(f.Seq) + uvarintLen(f.Ack) + uvarintLen(f.Dedup)
+	opt := func(v uint64, bit byte) {
+		if v != 0 {
+			flags |= bit
+			bodyLen += uvarintLen(v)
+		}
 	}
-	if f.View != 0 {
-		n += uvarintLen(f.View)
+	opt(f.TID, flagTID)
+	opt(f.Seq, flagSeq)
+	opt(f.Ack, flagAck)
+	opt(f.Dedup, flagDedup)
+	opt(f.View, flagView)
+	if f.Time != 0 {
+		flags |= flagTime
+		bodyLen += 8
 	}
-	return n
+	return flags, bodyLen
 }
 
-// AppendFrame encodes the frame (length-prefixed, versioned body) onto
-// b. It is allocation-free apart from growing b: the body length is
-// computed up front and the fields encode directly into the
-// destination, so a caller appending into a pooled or pre-grown buffer
-// pays nothing per frame. Frames without reliability state (Seq, Ack
-// and Dedup all zero) emit the version-2 layout, byte-identical to the
-// historical encoder's; only the reliability layer's frames pay for the
-// version-3 fields, and only frames stamped with a membership view id
-// pay for the version-4 field.
+// AppendFrame encodes the frame onto b in the frame layout:
+//
+//	uvarint bodyLen | flags | From | To | Tag | Kind |
+//	    [TID] [Seq] [Ack] [Dedup] [View] [Time] | payloadLen | payload
+//
+// From, To, Tag, the optional integer fields and payloadLen are
+// unsigned varints, flags and Kind are single bytes, and Time is a
+// big-endian float64. Flag bit i is set exactly when optional field i
+// is nonzero:
+//
+//	bit 0 TID | bit 1 Seq | bit 2 Ack | bit 3 Dedup | bit 4 View | bit 5 Time
+//
+// so a field that is zero costs nothing on the wire. Bits 6 and 7 are
+// reserved and always zero. It is allocation-free apart from growing
+// b: the body length is computed up front and the fields encode
+// directly into the destination, so a caller appending into a pooled
+// or pre-grown buffer pays nothing per frame.
 func AppendFrame(b []byte, f *Frame) []byte {
-	b = appendUvarint(b, uint64(frameBodyLen(f)))
-	v4 := f.View != 0
-	v3 := v4 || f.Seq != 0 || f.Ack != 0 || f.Dedup != 0
-	switch {
-	case v4:
-		b = append(b, FrameVersion4)
-	case v3:
-		b = append(b, FrameVersion3)
-	default:
-		b = append(b, FrameVersion)
-	}
+	flags, n := f.header()
+	b = appendUvarint(b, uint64(n))
+	b = append(b, flags)
 	b = appendUvarint(b, uint64(f.From))
 	b = appendUvarint(b, uint64(f.To))
 	b = appendUvarint(b, f.Tag)
-	b = appendUvarint(b, f.TID)
-	if v3 {
+	b = append(b, f.Kind)
+	if flags&flagTID != 0 {
+		b = appendUvarint(b, f.TID)
+	}
+	if flags&flagSeq != 0 {
 		b = appendUvarint(b, f.Seq)
+	}
+	if flags&flagAck != 0 {
 		b = appendUvarint(b, f.Ack)
+	}
+	if flags&flagDedup != 0 {
 		b = appendUvarint(b, f.Dedup)
 	}
-	if v4 {
+	if flags&flagView != 0 {
 		b = appendUvarint(b, f.View)
 	}
-	b = append(b, f.Kind)
-	b = appendFloat(b, f.Time)
+	if flags&flagTime != 0 {
+		b = appendFloat(b, f.Time)
+	}
 	b = appendUvarint(b, uint64(len(f.Payload)))
 	return append(b, f.Payload...)
-}
-
-// AppendFrameV1 encodes the frame in the legacy thread-unaware layout
-// (f.TID must be zero — version 1 has nowhere to put it). It exists so
-// tests can pin the cross-version decode contract.
-func AppendFrameV1(b []byte, f *Frame) ([]byte, error) {
-	if f.TID != 0 {
-		return nil, fmt.Errorf("wire: frame version 1 cannot carry thread id %d", f.TID)
-	}
-	body := append([]byte(nil), FrameVersion1)
-	body = appendUvarint(body, uint64(f.From))
-	body = appendUvarint(body, uint64(f.To))
-	body = appendUvarint(body, f.Tag)
-	body = append(body, f.Kind)
-	body = appendFloat(body, f.Time)
-	body = appendUvarint(body, uint64(len(f.Payload)))
-	body = append(body, f.Payload...)
-	b = appendUvarint(b, uint64(len(body)))
-	return append(b, body...), nil
-}
-
-// WriteFrame encodes and writes the frame in a single Write call, so
-// concurrent writers that serialise per connection emit whole frames.
-// The encode buffer is pooled; steady-state callers allocate nothing.
-func WriteFrame(w io.Writer, f *Frame) error {
-	buf := AppendFrame(GetBuf(), f)
-	_, err := w.Write(buf)
-	PutBuf(buf)
-	return err
 }
 
 // ByteScanner is the reader a frame decoder needs (bufio.Reader
@@ -199,13 +180,6 @@ func WriteFrame(w io.Writer, f *Frame) error {
 type ByteScanner interface {
 	io.Reader
 	io.ByteReader
-}
-
-// ReadFrame reads one length-prefixed frame. It returns io.EOF
-// unchanged on a clean end-of-stream before the length prefix.
-func ReadFrame(r ByteScanner) (Frame, error) {
-	f, _, err := ReadFrameScratch(r, nil)
-	return f, err
 }
 
 // ReadFrameScratch reads one frame using (and returning) a reusable
@@ -241,16 +215,16 @@ func ReadFrameScratch(r ByteScanner, scratch []byte) (Frame, []byte, error) {
 
 // DecodeFrameBuf decodes one length-prefixed frame from the front of
 // buf, returning the remainder. The frame's Payload aliases buf. It is
-// the in-memory counterpart of ReadFrame, used to walk coalesced
-// multi-frame buffers (a decompressed segment, a captured stream).
-// io.EOF is returned on an empty buffer.
+// the in-memory counterpart of ReadFrameScratch, used to walk
+// coalesced multi-frame buffers (a decompressed segment, a captured
+// stream). io.EOF is returned on an empty buffer.
 func DecodeFrameBuf(buf []byte) (Frame, []byte, error) {
 	var f Frame
 	if len(buf) == 0 {
 		return f, buf, io.EOF
 	}
 	n, w := binary.Uvarint(buf)
-	if w <= 0 {
+	if w <= 0 || w != uvarintLen(n) {
 		return f, buf, fmt.Errorf("wire: bad frame length prefix")
 	}
 	if n > MaxFrameBody {
@@ -264,51 +238,63 @@ func DecodeFrameBuf(buf []byte) (Frame, []byte, error) {
 	return f, rest[n:], err
 }
 
-// decodeFrameBody parses a version-dispatched frame body. The payload
-// aliases body.
+// decodeFrameBody parses a frame body; the payload aliases body. Only
+// the encoding AppendFrame would produce is accepted: reserved flag
+// bits, a flagged field that decodes as zero, bytes past the payload
+// and over-long varints are all errors, so every frame that decodes
+// re-encodes byte for byte. SegmentMagic's second byte ('D', 0x44)
+// sets reserved bit 6, so the compressed-framing preamble never
+// passes for a raw frame.
 func decodeFrameBody(body []byte) (Frame, error) {
 	var f Frame
 	rd := NewReader(body)
-	ver := rd.Byte()
-	switch ver {
-	case FrameVersion1, FrameVersion, FrameVersion3, FrameVersion4:
-	default:
-		if err := rd.Err(); err != nil {
-			return f, err
-		}
-		return f, fmt.Errorf("wire: unsupported frame version %d", ver)
+	flags := rd.Byte()
+	if flags&flagsReserved != 0 {
+		return f, fmt.Errorf("wire: reserved frame flag bits set (%#02x)", flags)
 	}
 	f.From = int(rd.Uvarint())
 	f.To = int(rd.Uvarint())
 	f.Tag = rd.Uvarint()
-	if ver >= FrameVersion {
+	f.Kind = rd.Byte()
+	if flags&flagTID != 0 {
 		f.TID = rd.Uvarint()
 	}
-	if ver >= FrameVersion3 {
+	if flags&flagSeq != 0 {
 		f.Seq = rd.Uvarint()
+	}
+	if flags&flagAck != 0 {
 		f.Ack = rd.Uvarint()
+	}
+	if flags&flagDedup != 0 {
 		f.Dedup = rd.Uvarint()
 	}
-	if ver >= FrameVersion4 {
+	if flags&flagView != 0 {
 		f.View = rd.Uvarint()
 	}
-	f.Kind = rd.Byte()
-	f.Time = rd.Float()
+	if flags&flagTime != 0 {
+		f.Time = rd.Float()
+	}
 	pn := rd.Uvarint()
 	if rd.Err() != nil {
 		return f, rd.Err()
 	}
+	if uint64(len(rd.Rest())) != pn {
+		return f, fmt.Errorf("wire: frame payload length %d, body holds %d", pn, len(rd.Rest()))
+	}
 	if pn > 0 {
-		if uint64(len(rd.Rest())) < pn {
-			return f, fmt.Errorf("wire: truncated frame payload")
-		}
-		f.Payload = rd.Rest()[:pn]
+		f.Payload = rd.Rest()
+	}
+	// A flagged zero field or an over-long varint makes the body longer
+	// than the encoding AppendFrame gives the decoded frame.
+	if _, n := f.header(); n != len(body) {
+		return f, fmt.Errorf("wire: non-canonical frame: zero field flagged or varint over-long")
 	}
 	return f, nil
 }
 
 // readUvarint reads a varint from a stream one byte at a time, keeping
-// io.EOF distinguishable (a clean close between frames).
+// io.EOF distinguishable (a clean close between frames). Like the
+// frame decoder it accepts only the minimal encoding.
 func readUvarint(r io.ByteReader) (uint64, error) {
 	var x uint64
 	var s uint
@@ -324,6 +310,9 @@ func readUvarint(r io.ByteReader) (uint64, error) {
 			return 0, fmt.Errorf("wire: uvarint overflow")
 		}
 		if b < 0x80 {
+			if b == 0 && i > 0 {
+				return 0, fmt.Errorf("wire: non-minimal uvarint")
+			}
 			return x | uint64(b)<<s, nil
 		}
 		x |= uint64(b&0x7f) << s

@@ -162,25 +162,19 @@ func TestFrameStreamRoundTrip(t *testing.T) {
 		{From: 3, To: 0, Tag: 1 << 40, Kind: 0, Time: 0},
 		{From: 1, To: 2, Tag: 0, Kind: 255, Time: -3.5, Payload: bytes.Repeat([]byte{0xAB}, 4096)},
 	}
-	var buf bytes.Buffer
+	var stream []byte
 	for i := range frames {
-		if err := WriteFrame(&buf, &frames[i]); err != nil {
-			t.Fatal(err)
-		}
+		stream = AppendFrame(stream, &frames[i])
 	}
-	r := bufio.NewReader(&buf)
+	r := bufio.NewReader(bytes.NewReader(stream))
 	for i := range frames {
-		got, err := ReadFrame(r)
+		got, _, err := ReadFrameScratch(r, nil)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		want := frames[i]
-		if got.From != want.From || got.To != want.To || got.Tag != want.Tag ||
-			got.Kind != want.Kind || got.Time != want.Time || !bytes.Equal(got.Payload, want.Payload) {
-			t.Fatalf("frame %d mismatch: %+v vs %+v", i, got, want)
-		}
+		framesEqual(t, i, &got, &frames[i])
 	}
-	if _, err := ReadFrame(r); err != io.EOF {
+	if _, _, err := ReadFrameScratch(r, nil); err != io.EOF {
 		t.Fatalf("expected clean EOF, got %v", err)
 	}
 }
@@ -195,14 +189,10 @@ func TestTruncatedInputsFailCleanly(t *testing.T) {
 			t.Fatalf("truncation at %d not detected", cut)
 		}
 	}
-	var buf bytes.Buffer
 	f := Frame{From: 1, To: 0, Tag: 9, Payload: []byte("payload")}
-	if err := WriteFrame(&buf, &f); err != nil {
-		t.Fatal(err)
-	}
-	enc = buf.Bytes()
+	enc = AppendFrame(nil, &f)
 	for cut := 1; cut < len(enc); cut++ {
-		if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(enc[:cut]))); err == nil {
+		if _, err := decode(t, enc[:cut]); err == nil {
 			t.Fatalf("frame truncation at %d not detected", cut)
 		}
 	}

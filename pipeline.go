@@ -114,8 +114,8 @@ type Config struct {
 	// hit the dead node are re-driven with their completed prefix
 	// replayed from dedup journals (exactly-once effects). Node 0 hosts
 	// the ExecutionStarter and the recovery coordinator; its loss is
-	// not survivable. Requires K ≥ 2. Off (the default), the wire
-	// stream is byte-identical to a non-recovering deployment.
+	// not survivable. Requires K ≥ 2. Off (the default), no frame
+	// carries Seq, Ack or Dedup.
 	FailureRecovery bool
 	// HeartbeatInterval is the reliability layer's liveness-probe
 	// period (0 = 25ms); a peer silent for four intervals is declared
@@ -177,8 +177,7 @@ type Config struct {
 	// objects onto the new capacity) and Cluster.Drain retires members
 	// gracefully, all without pausing invocations. Requires an adaptive
 	// distribution (live migration is the admission mechanism) and
-	// K ≥ 2. Off — the default — the wire stream is byte-identical to a
-	// static deployment.
+	// K ≥ 2. Off — the default — no frame carries a View.
 	Elastic bool
 	// MaxRanks caps how many ranks the deployment can ever hold
 	// (initial nodes plus joiners); it reserves the object-id namespace
@@ -190,10 +189,6 @@ type Config struct {
 // DefaultMaxRanks is the rank-space reservation applied to elastic
 // deployments when Config.MaxRanks is zero.
 const DefaultMaxRanks = 64
-
-// RunOptions is the legacy name for Config; every existing caller
-// keeps compiling and behaving identically.
-type RunOptions = Config
 
 // Validate rejects incoherent option combinations. It is the one
 // source of truth for the pairwise conflict rules: distribution-only
@@ -288,7 +283,7 @@ func (c *Config) Validate() error {
 }
 
 // DefaultAdaptEvery is the adaptation epoch applied to adaptive
-// distributions when RunOptions.AdaptEvery is zero.
+// distributions when Config.AdaptEvery is zero.
 const DefaultAdaptEvery = 32
 
 // DefaultCompileThreshold is the hotness count (invocations plus taken
@@ -336,7 +331,7 @@ type RunResult struct {
 	// messages each); ReplicaFetches counts REPLICATE exchanges that
 	// delivered a snapshot; Invalidations counts INVALIDATE frames
 	// writes pushed to replica holders. All are zero unless the run
-	// used RunOptions.Replicate on a replicated distribution.
+	// used Config.Replicate on a replicated distribution.
 	ReplicaHits    int64
 	ReplicaFetches int64
 	Invalidations  int64
@@ -458,7 +453,7 @@ func compileThreshold(cfg Config) int {
 }
 
 // Run executes the program sequentially on one VM.
-func (p *Program) Run(opts RunOptions) (*RunResult, error) {
+func (p *Program) Run(opts Config) (*RunResult, error) {
 	machine, sb, err := p.newVM(opts)
 	if err != nil {
 		return nil, err
@@ -480,7 +475,7 @@ func (p *Program) Run(opts RunOptions) (*RunResult, error) {
 
 // Profile runs the program under one profiler metric and returns the
 // profiler alongside the run result.
-func (p *Program) Profile(metric ProfileMetric, opts RunOptions) (*profiler.Profiler, *RunResult, error) {
+func (p *Program) Profile(metric ProfileMetric, opts Config) (*profiler.Profiler, *RunResult, error) {
 	machine, sb, err := p.newVM(opts)
 	if err != nil {
 		return nil, nil, err
@@ -597,7 +592,7 @@ func (pl *Plan) RewriteAdaptive() (*Distribution, error) {
 type RewriteOptions = rewrite.Options
 
 // RewriteWith generates per-node programs under the given mode
-// options (see RewriteOptions). Run it with RunOptions.Replicate to
+// options (see RewriteOptions). Run it with Config.Replicate to
 // enable the replication protocol on a replicated distribution.
 func (pl *Plan) RewriteWith(opts RewriteOptions) (*Distribution, error) {
 	res, err := rewrite.RewriteWith(pl.Analysis.Program.Bytecode, pl.Analysis.Result, pl.K, opts)
@@ -611,7 +606,7 @@ func (pl *Plan) RewriteWith(opts RewriteOptions) (*Distribution, error) {
 // one node per partition, ExecutionStarter on node 0. It is a thin
 // wrapper over the deployment lifecycle — Deploy, Invoke("main"),
 // Shutdown — preserved so batch callers need not manage a Cluster.
-func (d *Distribution) Run(opts RunOptions) (*RunResult, error) {
+func (d *Distribution) Run(opts Config) (*RunResult, error) {
 	cluster, err := d.Deploy(opts)
 	if err != nil {
 		return nil, err

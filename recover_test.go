@@ -395,6 +395,33 @@ func TestShutdownAfterNodeLoss(t *testing.T) {
 	}
 }
 
+// TestShutdownAfterLossyRun: Shutdown of a cluster whose fabric drops
+// frames returns promptly. A dropped SHUTDOWN frame is only recovered
+// by retransmission from rank 0, so rank 0 must stop last; these seeds
+// drop one when it stops first.
+func TestShutdownAfterLossyRun(t *testing.T) {
+	for _, seed := range []int64{3, 5, 40} {
+		cluster := deployFault(t, 3, autodist.RewriteOptions{}, autodist.Config{
+			K:               3,
+			FailureRecovery: true,
+			ChaosSeed:       seed,
+			ChaosDrop:       0.05,
+		})
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		done := make(chan error, 1)
+		go func() { done <- cluster.Shutdown(ctx) }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("seed %d: Shutdown: %v", seed, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("seed %d: Shutdown still blocked after 5s", seed)
+		}
+		cancel()
+	}
+}
+
 // TestClusterSurvivesChaos: with seeded frame drop, duplication and
 // reordering injected under the reliability layer, a full workload of
 // reads and writes stays byte-correct and the fault counters prove the
